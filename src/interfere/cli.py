@@ -128,7 +128,7 @@ def _parse_duals(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _build_matrix(source: str, unitary_tol: float) -> np.ndarray:
+def _build_matrix(source: str) -> np.ndarray:
     """Resolve a matrix source token to a raw (unvalidated) matrix."""
     if source == "beamsplitter":
         return balanced_beamsplitter().matrix
@@ -176,7 +176,7 @@ def _build_matrix(source: str, unitary_tol: float) -> np.ndarray:
 
 
 def _unitary_from_config(config: ScenarioConfig) -> UnitaryMatrix:
-    raw = _build_matrix(config.matrix_source, config.unitary_tol)
+    raw = _build_matrix(config.matrix_source)
     u = validate_unitary(raw, tol=config.unitary_tol)  # raises NotUnitaryError
     if u.n > MAX_MODES:
         raise BudgetExceededError(
@@ -486,7 +486,7 @@ def cmd_gf(args, out=None) -> int:
 def cmd_embed(args, out=None) -> int:
     out = out or sys.stdout
     config = _config_from_args(args)
-    matrix = _build_matrix(config.matrix_source, config.unitary_tol)
+    matrix = _build_matrix(config.matrix_source)
     if matrix.shape[0] != matrix.shape[1]:
         raise CliInputError("--matrix", "embedding needs a square matrix")
     n = matrix.shape[0]

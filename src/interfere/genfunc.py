@@ -22,6 +22,7 @@ from .permdet import determinant_many
 from .transition import ProbabilityCache
 
 SINGULAR_EPS = 1e-14
+IMAG_TOL = 1e-12
 
 
 def _dual_vector(values: Sequence[float], n: int, name: str) -> np.ndarray:
@@ -38,7 +39,11 @@ def _dual_vector(values: Sequence[float], n: int, name: str) -> np.ndarray:
 def gf_closed_form(u, x: Sequence[float], z: Sequence[float]) -> float:
     """Evaluate the generating function as a reciprocal determinant.
 
-    g(x, z) = 1 / det(I - U† Z U X) with X = diag(x), Z = diag(z).
+    g(x, z) = 1 / det(I - U† Z U X) with X = diag(x), Z = diag(z).  For
+    real duals the determinant is real for any square U (U† Z U is
+    Hermitian), so an imaginary part beyond ``IMAG_TOL`` relative to
+    max(1, |det|) is rounding error large enough to distrust the real part
+    as well, and raises instead of being dropped.
     """
     m = matrix_of(u)
     n = m.shape[0]
@@ -49,6 +54,11 @@ def gf_closed_form(u, x: Sequence[float], z: Sequence[float]) -> float:
     if abs(den) < SINGULAR_EPS:
         raise SingularDenominatorError(
             f"|det| = {abs(den):.3e} below {SINGULAR_EPS:.0e}"
+        )
+    if abs(den.imag) > IMAG_TOL * max(1.0, abs(den)):
+        raise SingularDenominatorError(
+            f"det = {den:.6e} has an imaginary part beyond rounding "
+            f"(tolerance {IMAG_TOL:.0e} of max(1, |det|))"
         )
     return 1.0 / den.real
 

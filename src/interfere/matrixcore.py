@@ -80,16 +80,28 @@ def validate_unitary(m, tol: float = DEFAULT_UNITARY_TOL) -> UnitaryMatrix:
     return UnitaryMatrix(mat, residual)
 
 
+def _inv_sqrt(n: int) -> float:
+    """1/sqrt(n) correctly rounded (1.0 / math.sqrt(n) rounds twice)."""
+    _, exp = math.frexp(1.0 / math.sqrt(n))
+    shift = 53 - exp
+    # floor(2 * 2^shift / sqrt(n)) in exact integer arithmetic, then halved
+    # with rounding to the nearest 53-bit mantissa
+    twice = math.isqrt((4 << (2 * shift)) // n)
+    return math.ldexp((twice + 1) // 2, -shift)
+
+
 def fourier_matrix(n: int) -> UnitaryMatrix:
     """The n-mode Fourier interferometer, entries exp(-2*pi*i*k*l/n)/sqrt(n).
 
-    Row/column indices k, l run from 1 to n.
+    Row/column indices k, l run from 1 to n.  The exponent k*l is reduced
+    mod n first, so phases that are exactly 1 carry no rounding residue,
+    and the scale is the correctly rounded 1/sqrt(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1)
-    phase = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return validate_unitary(phase / math.sqrt(n), tol=1e-14)
+    phase = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
+    return validate_unitary(phase * _inv_sqrt(n), tol=1e-14)
 
 
 def balanced_beamsplitter() -> UnitaryMatrix:

@@ -6,10 +6,14 @@ bosons, |det(U_{n,i})|^2 for fermions, and per(M_{n,i}) / n! for fully
 distinguishable particles, where M holds the squared moduli of U and
 U_{n,i} repeats rows/columns by occupation.  Probabilities vanish
 whenever the particle totals differ; that case never touches a kernel.
+
+Boson and classical values are filled a whole output row at a time; see
+:class:`ProbabilityCache`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,12 +24,18 @@ from .combinat import (
     factorial_product,
     support,
 )
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError, SizeLimitError
 from .matrixcore import matrix_of
-from .permdet import occupation_permanent
+from .permdet import DEFAULT_SIZE_CAP, occupation_permanent
 
 STATISTICS = ("boson", "fermion", "classical")
 DEFAULT_PARTICLE_BUDGET = 8
+# Inputs whose output row would hold more patterns than this are evaluated
+# one pair at a time instead (e.g. 10 modes from 10 particles on).
+ROW_PATTERN_CAP = 10**5
+_FACTORIALS = np.array(
+    [math.factorial(c) for c in range(DEFAULT_SIZE_CAP + 1)], dtype=np.float64
+)
 
 
 class TransitionTriple(NamedTuple):
@@ -47,13 +57,6 @@ def _pattern_pair(m: np.ndarray, input_occ, output_occ):
     return i, n
 
 
-def _boson_value(m: np.ndarray, i, n) -> float:
-    if sum(i) != sum(n):
-        return 0.0
-    amp = occupation_permanent(m, n, i).value
-    return abs(amp) ** 2 / (factorial_product(n) * factorial_product(i))
-
-
 def _fermion_value(m: np.ndarray, i, n) -> float:
     if any(c > 1 for c in i) or any(c > 1 for c in n):
         return 0.0
@@ -63,15 +66,32 @@ def _fermion_value(m: np.ndarray, i, n) -> float:
     cols = [s - 1 for s in support(i)]
     if not rows:
         return 1.0
-    amp = np.linalg.det(m[np.ix_(rows, cols)])
-    return float(abs(amp) ** 2)
+    if len(rows) == 1:
+        # a 1x1 determinant is its entry; numpy's LU-based det may round it
+        amp = complex(m[rows[0], cols[0]])
+    else:
+        amp = complex(np.linalg.det(m[np.ix_(rows, cols)]))
+        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            raise FloatingPointError("determinant overflowed double precision")
+    # the same squared modulus as the boson rows, so one-particle B and F agree bit for bit
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
+def _boson_values(amps: np.ndarray, i, n_factorials: np.ndarray) -> np.ndarray:
+    # B = (n!/i!) |a|^2 for amplitudes a = per(U_{n,i}) / n!
+    return n_factorials / factorial_product(i) * (amps.real * amps.real + amps.imag * amps.imag)
+
+
+def _classical_values(amps: np.ndarray, i, n_factorials: np.ndarray) -> np.ndarray:
+    # C = a for amplitudes a = per(M_{n,i}) / n! of the squared moduli
+    return amps.real
 
 
 def boson_prob(u, input_occ: Sequence[int], output_occ: Sequence[int]) -> float:
     """Bosonic transition probability |per(U_{n,i})|^2 / (n! i!)."""
     m = matrix_of(u)
     i, n = _pattern_pair(m, input_occ, output_occ)
-    return _boson_value(m, i, n)
+    return ProbabilityCache(m).boson(i, n)
 
 
 def fermion_prob(u, input_occ: Sequence[int], output_occ: Sequence[int]) -> float:
@@ -97,14 +117,7 @@ def classical_prob(u, input_occ: Sequence[int], output_occ: Sequence[int]) -> fl
     """
     m = matrix_of(u)
     i, n = _pattern_pair(m, input_occ, output_occ)
-    return _classical_value(np.abs(m) ** 2, i, n)
-
-
-def _classical_value(weights: np.ndarray, i, n) -> float:
-    if sum(i) != sum(n):
-        return 0.0
-    value = occupation_permanent(weights, n, i).value.real
-    return value / factorial_product(n)
+    return ProbabilityCache(m).classical(i, n)
 
 
 def transition_triple(
@@ -158,6 +171,107 @@ def output_distribution(
     return {n: prob(i, n) for n in outputs}
 
 
+class _PatternIndex:
+    """Occupation patterns of each total over a fixed number of modes.
+
+    ``patterns(t)`` lists the patterns of total t in enumeration order
+    (that of :func:`enumerate_occupations`) and ``factorials(t)`` holds
+    their n! products as floats.  ``lower(t)`` is an (N, count) array
+    whose entry [k, p] is the position of pattern p less one particle in
+    mode k among the patterns of total t - 1, or count(t - 1) when mode k
+    of p is empty.  Each table is built once, on first use.
+    """
+
+    def __init__(self, n_modes: int):
+        self.n_modes = n_modes
+        # _suffixes[m][t]: patterns of total t over the last m modes, in order
+        self._suffixes = [[np.zeros((1, m), dtype=np.intp)] for m in range(n_modes + 1)]
+        self._lower: dict[int, np.ndarray] = {}
+        self._patterns: dict[int, list[tuple[int, ...]]] = {}
+        self._factorials: dict[int, np.ndarray] = {}
+
+    def count(self, total: int) -> int:
+        return math.comb(total + self.n_modes - 1, self.n_modes - 1)
+
+    def patterns(self, total: int) -> list[tuple[int, ...]]:
+        pats = self._patterns.get(total)
+        if pats is None:
+            arr = self._suffix(self.n_modes, total)
+            pats = self._patterns[total] = list(map(tuple, arr.tolist()))
+        return pats
+
+    def factorials(self, total: int) -> np.ndarray:
+        facts = self._factorials.get(total)
+        if facts is None:
+            arr = self._suffix(self.n_modes, total)
+            facts = self._factorials[total] = np.prod(_FACTORIALS[arr], axis=1)
+        return facts
+
+    def _suffix(self, modes: int, total: int) -> np.ndarray:
+        # In enumeration order, the patterns with a particle in the first
+        # mode come first, as those of total - 1 plus that particle; then
+        # an empty first mode before the patterns of the remaining modes.
+        tables = self._suffixes[modes]
+        while len(tables) <= total:
+            t = len(tables)
+            if modes == 1:
+                tables.append(np.array([[t]], dtype=np.intp))
+                continue
+            raised = tables[t - 1].copy()
+            raised[:, 0] += 1
+            rest = self._suffix(modes - 1, t)
+            empty = np.zeros((len(rest), 1), dtype=np.intp)
+            tables.append(np.vstack([raised, np.hstack([empty, rest])]))
+        return tables[total]
+
+    def lower(self, total: int) -> np.ndarray:
+        lower = self._lower.get(total)
+        if lower is not None:
+            return lower
+        n_modes = self.n_modes
+        arr = self._suffix(n_modes, total)
+        # A pattern's position counts the patterns ahead of it: for each
+        # mode s, those agreeing before s with more in s, C(r_s - p_s - 1
+        # + L_s - 1, L_s - 1) by stars and bars, with r_s the particles in
+        # modes s.. and L_s = N - s.  Taking a particle out of mode k
+        # lowers r_s by one for s <= k, which by Pascal's rule removes
+        # C(r_s - p_s + L_s - 3, L_s - 2) from each term with s < k.
+        left = total - np.cumsum(arr, axis=1) + arr
+        tails = n_modes - np.arange(n_modes)
+        top = left - arr + tails - 3
+        bottom = np.broadcast_to(tails - 2, arr.shape)
+        binom = np.array(
+            [[math.comb(a, b) if a >= b >= 0 else 0 for b in range(-1, n_modes)]
+             for a in range(-2, total + n_modes)],
+            dtype=np.intp,
+        )
+        step = binom[top + 2, bottom + 1]
+        lower = np.arange(len(arr))[:, None] - (np.cumsum(step, axis=1) - step)
+        lower[arr == 0] = self.count(total - 1)
+        lower = self._lower[total] = np.ascontiguousarray(lower.T)
+        return lower
+
+
+class _AmplitudeRows:
+    """Memoized rows a(i, .) = per(A_{., i}) / n! over all outputs of total |i|."""
+
+    def __init__(self, a: np.ndarray, index: _PatternIndex):
+        self.a = a
+        self.index = index
+        self._rows = {(0,) * a.shape[0]: np.ones(1, dtype=a.dtype)}
+
+    def row(self, i: tuple[int, ...]) -> np.ndarray:
+        row = self._rows.get(i)
+        if row is None:
+            j = max(s for s, c in enumerate(i) if c)  # highest occupied input mode
+            below = i[:j] + (i[j] - 1,) + i[j + 1 :]
+            padded = np.append(self.row(below), 0)
+            lowered = padded[self.index.lower(sum(i))]
+            row = (self.a[:, j, None] * lowered).sum(axis=0)
+            self._rows[i] = row
+        return row
+
+
 class ProbabilityCache:
     """Memoized transition values for one fixed matrix.
 
@@ -165,28 +279,47 @@ class ProbabilityCache:
     permanent/determinant ratios of the occupation submatrices, which
     are probabilities exactly when the matrix is unitary.  Patterns must
     be occupation tuples.
+
+    Boson and classical values are filled one whole output row at a
+    time.  The first lookup for an input i computes the amplitudes
+    a(i, n) = per(A_{n,i}) / n!, the coefficients of z^n in
+    prod_j (sum_k A[k, j] z_k)^{i_j}, for every output n of total |i|.
+    Expanding that product one particle at a time (as SLOS does; Heurtel
+    et al., "Strong simulation of linear optical processes",
+    arXiv:2206.10549) gives the column-Laplace recurrence
+
+        a(i, n) = sum_k A[k, j] a(i - e_j, n - e_k),    a(0, 0) = 1,
+
+    with j the highest occupied input mode.  Rows are memoized by input,
+    so a new row is N vectorized products on its parent's row, through
+    per-total pattern tables and "one particle less in mode k" maps built
+    once per cache.  Then B = (n!/i!) |a|^2 with A = U, and C = a with
+    A = |U|^2.  A row of more than ``ROW_PATTERN_CAP`` patterns is not
+    built; its pairs are evaluated one at a time with
+    :func:`occupation_permanent`, which otherwise serves only as the
+    independent test oracle.  Fermion values are per-pair determinants.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix_of(matrix)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatchError("cache requires a square matrix")
-        self._weights = np.abs(self.matrix) ** 2
-        self._boson: dict[tuple, float] = {}
+        index = _PatternIndex(self.n)
+        self._boson_amps = _AmplitudeRows(self.matrix, index)
+        self._classical_amps = _AmplitudeRows(np.abs(self.matrix) ** 2, index)
+        self._boson: dict[tuple, dict[tuple, float]] = {}
         self._fermion: dict[tuple, float] = {}
-        self._classical: dict[tuple, float] = {}
+        self._classical: dict[tuple, dict[tuple, float]] = {}
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
     def boson(self, i: tuple, n: tuple) -> float:
-        key = (i, n)
-        value = self._boson.get(key)
-        if value is None:
-            value = _boson_value(self.matrix, i, n)
-            self._boson[key] = value
-        return value
+        try:
+            return self._boson[i][n]
+        except KeyError:
+            return self._row_miss(self._boson, self._boson_amps, _boson_values, i, n)
 
     def fermion(self, i: tuple, n: tuple) -> float:
         key = (i, n)
@@ -197,9 +330,33 @@ class ProbabilityCache:
         return value
 
     def classical(self, i: tuple, n: tuple) -> float:
-        key = (i, n)
-        value = self._classical.get(key)
+        try:
+            return self._classical[i][n]
+        except KeyError:
+            return self._row_miss(
+                self._classical, self._classical_amps, _classical_values, i, n
+            )
+
+    def _row_miss(self, table, amps: _AmplitudeRows, values, i, n) -> float:
+        # A new input, unequal totals, or a pair of a row too large to build.
+        i, n = _pattern_pair(self.matrix, i, n)
+        total = sum(i)
+        if total != sum(n):
+            return 0.0
+        if total > DEFAULT_SIZE_CAP:
+            raise SizeLimitError(
+                f"{total} particles exceed the amplitude cap of {DEFAULT_SIZE_CAP}"
+            )
+        row = table.get(i)
+        if row is None:
+            row = table[i] = {}
+            index = amps.index
+            if index.count(total) <= ROW_PATTERN_CAP:
+                filled = values(amps.row(i), i, index.factorials(total))
+                row.update(zip(index.patterns(total), filled.tolist()))
+        value = row.get(n)
         if value is None:
-            value = _classical_value(self._weights, i, n)
-            self._classical[key] = value
+            amp = occupation_permanent(amps.a, n, i).value / factorial_product(n)
+            pair = values(np.array([amp]), i, np.array([float(factorial_product(n))]))
+            value = row[n] = pair.item()
         return value

@@ -141,3 +141,15 @@ def test_tail_bound_is_advisory_but_sane():
         assert np.isfinite(tail)
         # the estimate should not be absurdly smaller than the true tail
         assert abs(closed - value) <= max(tail * 1e3, 1e-9)
+
+
+def test_closed_form_rejects_a_complex_denominator():
+    # For real duals det(I - U† Z U X) is real for every square U.  This
+    # non-unitary matrix nearly cancels it (|det| ~ 3 from entries ~ 1e7),
+    # so rounding leaves an imaginary part near 1e-6 of |det|.
+    a = 4000.0 * np.array([[1.0, 1.0], [1j, 1j + 1e-3]])
+    with pytest.raises(SingularDenominatorError, match="imaginary"):
+        gf_closed_form(a, [0.5, 0.5], [0.5, 0.5])
+    # a unitary keeps the imaginary part at rounding level
+    u = haar_random_unitary(3, 8)
+    assert gf_closed_form(u, [0.5, 0.2, 0.7], [0.3, 0.9, 0.1]) > 0.0

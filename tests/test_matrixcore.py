@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,22 @@ def test_fourier_matrix_size_one():
 def test_fourier_matrix_size_two():
     expected = np.array([[-1, 1], [1, 1]]) / math.sqrt(2)
     assert np.allclose(fourier_matrix(2).matrix, expected, atol=1e-15)
+
+
+def test_fourier_matrix_entries_are_correctly_rounded():
+    # 1.0 / math.sqrt(3) rounds twice, to one ulp above 1/sqrt(3)
+    with mpmath.workdps(50):
+        for n in range(1, 13):
+            m = fourier_matrix(n).matrix
+            scale = float(1 / mpmath.sqrt(n))
+            worst = 0.0
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    if k * l % n == 0:
+                        assert m[k - 1, l - 1] == complex(scale, 0.0)
+                    exact = mpmath.expjpi(mpmath.mpf(-2 * k * l) / n) / mpmath.sqrt(n)
+                    worst = max(worst, float(abs(m[k - 1, l - 1] - exact)))
+            assert worst <= 6e-16  # about 3e-15 when k*l is not reduced first
 
 
 def test_fourier_matrix_three_is_tightly_unitary():

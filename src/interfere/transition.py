@@ -13,6 +13,8 @@ Boson and classical values are filled a whole output row at a time; see
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -31,7 +33,9 @@ from .permdet import DEFAULT_SIZE_CAP, occupation_permanent
 STATISTICS = ("boson", "fermion", "classical")
 DEFAULT_PARTICLE_BUDGET = 8
 # Inputs whose output row would hold more patterns than this are evaluated
-# one pair at a time instead (e.g. 10 modes from 10 particles on).
+# one pair at a time instead (in 10 modes, from 11 particles on).  A row at
+# the cap, 10 particles in 10 modes, raises peak RSS by about 90 MB for its
+# boson and classical values together.
 ROW_PATTERN_CAP = 10**5
 _FACTORIALS = np.array(
     [math.factorial(c) for c in range(DEFAULT_SIZE_CAP + 1)], dtype=np.float64
@@ -174,21 +178,20 @@ def output_distribution(
 class _PatternIndex:
     """Occupation patterns of each total over a fixed number of modes.
 
-    ``patterns(t)`` lists the patterns of total t in enumeration order
-    (that of :func:`enumerate_occupations`) and ``factorials(t)`` holds
-    their n! products as floats.  ``lower(t)`` is an (N, count) array
-    whose entry [k, p] is the position of pattern p less one particle in
-    mode k among the patterns of total t - 1, or count(t - 1) when mode k
-    of p is empty.  Each table is built once, on first use.
+    ``patterns(t)`` lists the patterns of total t in the order of
+    :func:`enumerate_occupations` and ``factorials(t)`` holds their n!
+    products as floats.  ``lower(t)`` is an (N, count) array whose entry
+    [k, p] is the position of pattern p less one particle in mode k among
+    the patterns of total t - 1, or count(t - 1) when mode k of p is
+    empty.  Each table is built once, on first use.
     """
 
     def __init__(self, n_modes: int):
         self.n_modes = n_modes
-        # _suffixes[m][t]: patterns of total t over the last m modes, in order
-        self._suffixes = [[np.zeros((1, m), dtype=np.intp)] for m in range(n_modes + 1)]
-        self._lower: dict[int, np.ndarray] = {}
         self._patterns: dict[int, list[tuple[int, ...]]] = {}
+        self._counts: dict[int, np.ndarray] = {}
         self._factorials: dict[int, np.ndarray] = {}
+        self._lower: dict[int, np.ndarray] = {}
 
     def count(self, total: int) -> int:
         return math.comb(total + self.n_modes - 1, self.n_modes - 1)
@@ -196,60 +199,44 @@ class _PatternIndex:
     def patterns(self, total: int) -> list[tuple[int, ...]]:
         pats = self._patterns.get(total)
         if pats is None:
-            arr = self._suffix(self.n_modes, total)
-            pats = self._patterns[total] = list(map(tuple, arr.tolist()))
+            pats = self._patterns[total] = enumerate_occupations(self.n_modes, total)
         return pats
+
+    def counts(self, total: int) -> np.ndarray:
+        """The patterns of the total as a (count, N) uint8 array."""
+        counts = self._counts.get(total)
+        if counts is None:
+            counts = self._counts[total] = np.array(self.patterns(total), dtype=np.uint8)
+        return counts
 
     def factorials(self, total: int) -> np.ndarray:
         facts = self._factorials.get(total)
         if facts is None:
-            arr = self._suffix(self.n_modes, total)
-            facts = self._factorials[total] = np.prod(_FACTORIALS[arr], axis=1)
+            facts = self._factorials[total] = np.prod(_FACTORIALS[self.counts(total)], axis=1)
         return facts
-
-    def _suffix(self, modes: int, total: int) -> np.ndarray:
-        # In enumeration order, the patterns with a particle in the first
-        # mode come first, as those of total - 1 plus that particle; then
-        # an empty first mode before the patterns of the remaining modes.
-        tables = self._suffixes[modes]
-        while len(tables) <= total:
-            t = len(tables)
-            if modes == 1:
-                tables.append(np.array([[t]], dtype=np.intp))
-                continue
-            raised = tables[t - 1].copy()
-            raised[:, 0] += 1
-            rest = self._suffix(modes - 1, t)
-            empty = np.zeros((len(rest), 1), dtype=np.intp)
-            tables.append(np.vstack([raised, np.hstack([empty, rest])]))
-        return tables[total]
 
     def lower(self, total: int) -> np.ndarray:
         lower = self._lower.get(total)
-        if lower is not None:
-            return lower
-        n_modes = self.n_modes
-        arr = self._suffix(n_modes, total)
-        # A pattern's position counts the patterns ahead of it: for each
-        # mode s, those agreeing before s with more in s, C(r_s - p_s - 1
-        # + L_s - 1, L_s - 1) by stars and bars, with r_s the particles in
-        # modes s.. and L_s = N - s.  Taking a particle out of mode k
-        # lowers r_s by one for s <= k, which by Pascal's rule removes
-        # C(r_s - p_s + L_s - 3, L_s - 2) from each term with s < k.
-        left = total - np.cumsum(arr, axis=1) + arr
-        tails = n_modes - np.arange(n_modes)
-        top = left - arr + tails - 3
-        bottom = np.broadcast_to(tails - 2, arr.shape)
-        binom = np.array(
-            [[math.comb(a, b) if a >= b >= 0 else 0 for b in range(-1, n_modes)]
-             for a in range(-2, total + n_modes)],
-            dtype=np.intp,
-        )
-        step = binom[top + 2, bottom + 1]
-        lower = np.arange(len(arr))[:, None] - (np.cumsum(step, axis=1) - step)
-        lower[arr == 0] = self.count(total - 1)
-        lower = self._lower[total] = np.ascontiguousarray(lower.T)
+        if lower is None:
+            # Each pattern q of total - 1 plus one particle in mode k is a
+            # pattern p of the total, looked up by its counts as bytes;
+            # then lower[k, p] = q.  Entries no q reaches keep count(t - 1).
+            position = dict(zip(map(bytes, self.patterns(total)), itertools.count()))
+            below = self.counts(total - 1)
+            raised = below + np.eye(self.n_modes, dtype=np.uint8)[:, None]
+            keys = raised.view(np.dtype((np.void, self.n_modes))).ravel().tolist()
+            cols = np.fromiter(map(position.__getitem__, keys), dtype=np.intp, count=len(keys))
+            lower = np.full((self.n_modes, len(position)), len(below), dtype=np.intp)
+            modes = np.arange(self.n_modes)[:, None]
+            lower[modes, cols.reshape(self.n_modes, -1)] = np.arange(len(below))
+            self._lower[total] = lower
         return lower
+
+
+@functools.lru_cache(maxsize=4)
+def _pattern_index(n_modes: int) -> _PatternIndex:
+    """The pattern tables of one mode count, shared by the caches of that size."""
+    return _PatternIndex(n_modes)
 
 
 class _AmplitudeRows:
@@ -292,8 +279,9 @@ class ProbabilityCache:
 
     with j the highest occupied input mode.  Rows are memoized by input,
     so a new row is N vectorized products on its parent's row, through
-    per-total pattern tables and "one particle less in mode k" maps built
-    once per cache.  Then B = (n!/i!) |a|^2 with A = U, and C = a with
+    per-total pattern tables and "one particle less in mode k" maps that
+    depend only on the mode count and are shared by the caches of that
+    size.  Then B = (n!/i!) |a|^2 with A = U, and C = a with
     A = |U|^2.  A row of more than ``ROW_PATTERN_CAP`` patterns is not
     built; its pairs are evaluated one at a time with
     :func:`occupation_permanent`, which otherwise serves only as the
@@ -304,7 +292,7 @@ class ProbabilityCache:
         self.matrix = matrix_of(matrix)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatchError("cache requires a square matrix")
-        index = _PatternIndex(self.n)
+        index = _pattern_index(self.n)
         self._boson_amps = _AmplitudeRows(self.matrix, index)
         self._classical_amps = _AmplitudeRows(np.abs(self.matrix) ** 2, index)
         self._boson: dict[tuple, dict[tuple, float]] = {}

@@ -51,12 +51,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_pattern_index_matches_enumeration_and_lowering():
+def test_pattern_index_factorials_and_lowering():
     for n_modes in range(1, 6):
         index = _PatternIndex(n_modes)
         for total in range(7):
             patterns = index.patterns(total)
             assert patterns == enumerate_occupations(n_modes, total)
+            assert index.counts(total).tolist() == [list(p) for p in patterns]
             facts = [float(factorial_product(p)) for p in patterns]
             assert index.factorials(total).tolist() == facts
             if total == 0:

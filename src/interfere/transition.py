@@ -32,11 +32,12 @@ from .permdet import DEFAULT_SIZE_CAP, occupation_permanent
 
 STATISTICS = ("boson", "fermion", "classical")
 DEFAULT_PARTICLE_BUDGET = 8
-# Inputs whose output row would hold more patterns than this are evaluated
-# one pair at a time instead (in 10 modes, from 11 particles on).  A row at
-# the cap, 10 particles in 10 modes, raises peak RSS by about 90 MB for its
-# boson and classical values together.
-ROW_PATTERN_CAP = 10**5
+# A row takes memory in proportion to the mode count times its patterns, the
+# size of its lowering map.  Inputs whose row would exceed this are evaluated
+# one pair at a time instead: in 10 modes from 11 particles on, and with 2
+# particles from 126 modes on.  The rows of 10 particles in 10 modes raise
+# peak RSS by about 90 MB for their boson and classical values together.
+ROW_SIZE_CAP = 10**6
 _FACTORIALS = np.array(
     [math.factorial(c) for c in range(DEFAULT_SIZE_CAP + 1)], dtype=np.float64
 )
@@ -189,7 +190,7 @@ class _PatternIndex:
     def __init__(self, n_modes: int):
         self.n_modes = n_modes
         self._patterns: dict[int, list[tuple[int, ...]]] = {}
-        self._counts: dict[int, np.ndarray] = {}
+        self._keys: dict[int, list[bytes]] = {}
         self._factorials: dict[int, np.ndarray] = {}
         self._lower: dict[int, np.ndarray] = {}
 
@@ -202,12 +203,17 @@ class _PatternIndex:
             pats = self._patterns[total] = enumerate_occupations(self.n_modes, total)
         return pats
 
+    def keys(self, total: int) -> list[bytes]:
+        """The bytes of each pattern's counts, one byte per mode."""
+        keys = self._keys.get(total)
+        if keys is None:
+            keys = self._keys[total] = list(map(bytes, self.patterns(total)))
+        return keys
+
     def counts(self, total: int) -> np.ndarray:
         """The patterns of the total as a (count, N) uint8 array."""
-        counts = self._counts.get(total)
-        if counts is None:
-            counts = self._counts[total] = np.array(self.patterns(total), dtype=np.uint8)
-        return counts
+        flat = np.frombuffer(b"".join(self.keys(total)), dtype=np.uint8)
+        return flat.reshape(-1, self.n_modes)
 
     def factorials(self, total: int) -> np.ndarray:
         facts = self._factorials.get(total)
@@ -221,7 +227,7 @@ class _PatternIndex:
             # Each pattern q of total - 1 plus one particle in mode k is a
             # pattern p of the total, looked up by its counts as bytes;
             # then lower[k, p] = q.  Entries no q reaches keep count(t - 1).
-            position = dict(zip(map(bytes, self.patterns(total)), itertools.count()))
+            position = dict(zip(self.keys(total), itertools.count()))
             below = self.counts(total - 1)
             raised = below + np.eye(self.n_modes, dtype=np.uint8)[:, None]
             keys = raised.view(np.dtype((np.void, self.n_modes))).ravel().tolist()
@@ -235,7 +241,10 @@ class _PatternIndex:
 
 @functools.lru_cache(maxsize=4)
 def _pattern_index(n_modes: int) -> _PatternIndex:
-    """The pattern tables of one mode count, shared by the caches of that size."""
+    """The pattern tables of one mode count, shared by the caches of that size.
+
+    They depend on nothing else, and callers only read them once built.
+    """
     return _PatternIndex(n_modes)
 
 
@@ -282,8 +291,8 @@ class ProbabilityCache:
     per-total pattern tables and "one particle less in mode k" maps that
     depend only on the mode count and are shared by the caches of that
     size.  Then B = (n!/i!) |a|^2 with A = U, and C = a with
-    A = |U|^2.  A row of more than ``ROW_PATTERN_CAP`` patterns is not
-    built; its pairs are evaluated one at a time with
+    A = |U|^2.  A row whose patterns times N exceed ``ROW_SIZE_CAP`` is
+    not built; its pairs are evaluated one at a time with
     :func:`occupation_permanent`, which otherwise serves only as the
     independent test oracle.  Fermion values are per-pair determinants.
     """
@@ -327,7 +336,9 @@ class ProbabilityCache:
 
     def _row_miss(self, table, amps: _AmplitudeRows, values, i, n) -> float:
         # A new input, unequal totals, or a pair of a row too large to build.
-        i, n = _pattern_pair(self.matrix, i, n)
+        # The caller's tuples stay the keys: validated copies would double
+        # the memory of a row filled pair by pair.
+        _pattern_pair(self.matrix, i, n)
         total = sum(i)
         if total != sum(n):
             return 0.0
@@ -339,12 +350,13 @@ class ProbabilityCache:
         if row is None:
             row = table[i] = {}
             index = amps.index
-            if index.count(total) <= ROW_PATTERN_CAP:
+            if self.n * index.count(total) <= ROW_SIZE_CAP:
                 filled = values(amps.row(i), i, index.factorials(total))
                 row.update(zip(index.patterns(total), filled.tolist()))
         value = row.get(n)
         if value is None:
-            amp = occupation_permanent(amps.a, n, i).value / factorial_product(n)
-            pair = values(np.array([amp]), i, np.array([float(factorial_product(n))]))
+            n_factorial = float(factorial_product(n))
+            amp = occupation_permanent(amps.a, n, i).value / n_factorial
+            pair = values(np.array([amp]), i, np.array([n_factorial]))
             value = row[n] = pair.item()
         return value

@@ -166,7 +166,10 @@ def test_rows_over_the_cap_fall_back_to_pairs(kernel_calls, monkeypatch):
     rows = ProbabilityCache(u)
     expected = [(rows.boson(i, n), rows.classical(i, n)) for n in outputs]
     assert kernel_calls == []
-    monkeypatch.setattr(transition, "ROW_PATTERN_CAP", 5)
+    monkeypatch.setattr(transition, "ROW_SIZE_CAP", 3 * len(outputs))
+    assert ProbabilityCache(u).boson(i, outputs[0]) == expected[0][0]
+    assert kernel_calls == []  # 3 modes times 10 patterns is at the cap
+    monkeypatch.setattr(transition, "ROW_SIZE_CAP", 3 * len(outputs) - 1)
     pairs = ProbabilityCache(u)
     for n, (b, c) in zip(outputs, expected):
         assert pairs.boson(i, n) == pytest.approx(b, rel=1e-12, abs=1e-15)

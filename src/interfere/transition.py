@@ -244,6 +244,8 @@ def _pattern_index(n_modes: int) -> _PatternIndex:
     """The pattern tables of one mode count, shared by the caches of that size.
 
     They depend on nothing else, and callers only read them once built.
+    They outlive the caches: those of 10 particles in 10 modes, the largest
+    a row may need there, hold about 47 MB.
     """
     return _PatternIndex(n_modes)
 
@@ -338,9 +340,9 @@ class ProbabilityCache:
         # A new input, unequal totals, or a pair of a row too large to build.
         # The caller's tuples stay the keys: validated copies would double
         # the memory of a row filled pair by pair.
-        _pattern_pair(self.matrix, i, n)
-        total = sum(i)
-        if total != sum(n):
+        occ_i, occ_n = _pattern_pair(self.matrix, i, n)
+        total = sum(occ_i)
+        if total != sum(occ_n):
             return 0.0
         if total > DEFAULT_SIZE_CAP:
             raise SizeLimitError(
@@ -351,12 +353,12 @@ class ProbabilityCache:
             row = table[i] = {}
             index = amps.index
             if self.n * index.count(total) <= ROW_SIZE_CAP:
-                filled = values(amps.row(i), i, index.factorials(total))
+                filled = values(amps.row(occ_i), occ_i, index.factorials(total))
                 row.update(zip(index.patterns(total), filled.tolist()))
         value = row.get(n)
         if value is None:
-            n_factorial = float(factorial_product(n))
-            amp = occupation_permanent(amps.a, n, i).value / n_factorial
-            pair = values(np.array([amp]), i, np.array([n_factorial]))
+            n_factorial = float(factorial_product(occ_n))
+            amp = occupation_permanent(amps.a, occ_n, occ_i).value / n_factorial
+            pair = values(np.array([amp]), occ_i, np.array([n_factorial]))
             value = row[n] = pair.item()
         return value

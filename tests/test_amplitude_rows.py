@@ -213,6 +213,8 @@ def test_fermion_rejects_an_overflowed_determinant():
 
 def test_cache_misses_check_patterns():
     cache = ProbabilityCache(haar_random_unitary(3, 2))
+    integral = cache.classical((1.0, 1.0, 0.0), (0.0, 1.0, 1.0))
+    assert integral == ProbabilityCache(haar_random_unitary(3, 2)).classical((1, 1, 0), (0, 1, 1))
     assert cache.boson((1, 1, 0), (1, 0, 0)) == 0.0
     assert cache.classical((3, 0, 0), (0, 1, 1)) == 0.0
     with pytest.raises(DimensionMismatchError):

@@ -13,12 +13,9 @@ input, 3 a budget or size cap was exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +38,7 @@ from .identities import (
     check_three_particle,
     check_two_particle,
     classify_transition,
-    iter_pattern_pairs,
+    sweep_classical_convolution,
     sweep_lemma2,
     sweep_signed_convolution,
 )
@@ -85,9 +82,7 @@ class ScenarioConfig:
     matrix_source: str
     particle_budget: int
     tolerance: float
-    seed: int
     output_format: str
-    thread_count: int
     unitary_tol: float
 
 
@@ -186,19 +181,6 @@ def _unitary_from_config(config: ScenarioConfig) -> UnitaryMatrix:
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    threads = args.threads
-    env = os.environ.get("INTERFERE_THREADS")
-    if env:
-        threads = env
-    if threads == "auto":
-        thread_count = min(8, os.cpu_count() or 1)
-    else:
-        try:
-            thread_count = int(threads)
-        except ValueError as exc:
-            raise CliInputError("--threads", f"expected integer or 'auto', got {threads!r}") from exc
-        if thread_count < 1:
-            raise CliInputError("--threads", "thread count must be >= 1")
     if args.budget < 1:
         raise CliInputError("--budget", "budget must be >= 1")
     if args.tolerance <= 0:
@@ -207,9 +189,7 @@ def _config_from_args(args) -> ScenarioConfig:
         matrix_source=args.matrix,
         particle_budget=args.budget,
         tolerance=args.tolerance,
-        seed=args.seed,
         output_format=args.format,
-        thread_count=thread_count,
         unitary_tol=args.unitary_tol,
     )
 
@@ -327,16 +307,7 @@ def _suite_reports(name: str, u: UnitaryMatrix, config: ScenarioConfig):
     if name == "muir":
         return [check_muir(u.matrix, tol=tol)]
     if name == "classical-convolution":
-        cache = ProbabilityCache(u.matrix)
-        reports = []
-        for i, n in iter_pattern_pairs(u.n, budget):
-            for split in itertools.product(*[range(c + 1) for c in i]):
-                reports.append(
-                    identities.check_classical_convolution(
-                        u, i, n, split, tol=tol, cache=cache, budget=budget
-                    )
-                )
-        return reports
+        return sweep_classical_convolution(u, budget, tol=tol)
     if name == "two-particle":
         if u.n < 2:
             return []
@@ -381,14 +352,7 @@ def cmd_verify(args, out=None) -> int:
             raise CliInputError("--suite", f"unknown identity suite {name!r}")
     if not names:
         raise CliInputError("--suite", "suite list is empty")
-    if config.thread_count > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=config.thread_count) as pool:
-            groups = list(
-                pool.map(lambda name: _suite_reports(name, u, config), names)
-            )
-    else:
-        groups = [_suite_reports(name, u, config) for name in names]
-    reports = [r for group in groups for r in group]
+    reports = [r for name in names for r in _suite_reports(name, u, config)]
     _emit_reports(reports, u.n, config, out)
     failures = sum(1 for r in reports if not r.passed)
     print(
@@ -529,9 +493,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--matrix", required=True, help="matrix source: beamsplitter | fourier:N | permutation:SPEC | haar:N:SEED | file:PATH")
     parser.add_argument("--budget", type=int, default=4, help="particle budget (default 4)")
     parser.add_argument("--tolerance", type=float, default=1e-10, help="identity tolerance (default 1e-10)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized scenario sources")
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
-    parser.add_argument("--threads", default="1", help="worker threads, integer or 'auto' (env INTERFERE_THREADS overrides)")
     parser.add_argument("--unitary-tol", type=float, default=1e-12, help="unitarity validation tolerance (default 1e-12)")
 
 

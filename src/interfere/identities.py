@@ -10,6 +10,7 @@ cancel to zero by construction.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,15 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinat import (
-    as_occupation,
-    bounded_subvectors,
-    enumerate_occupations,
-    enumerate_subsets,
-    occupation_from_modes,
-    subtract_indicator,
-    support,
-)
+from .combinat import as_occupation, enumerate_occupations, occupation_from_modes
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -33,13 +26,12 @@ from .errors import (
     SizeLimitError,
     UnsupportedPatternError,
 )
-from .matrixcore import matrix_of, minor_keep, unitary_dilation
-from .permdet import determinant, determinant_many, permanent_many
-from .transition import ProbabilityCache
+from .matrixcore import matrix_of, unitary_dilation
+from .permdet import determinant_many, permanent_many
+from .transition import DEFAULT_PARTICLE_BUDGET, ProbabilityCache, _pattern_pair
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_TIE_EPS = 1e-10
-DEFAULT_PARTICLE_BUDGET = 8
 COROLLARY1_SIZE_CAP = 8
 MUIR_SIZE_CAP = 10
 
@@ -89,29 +81,11 @@ def _report(name, raw, terms, tol, i=None, n=None, details=None) -> IdentityRepo
     )
 
 
-def _pair(matrix, input_occ, output_occ):
-    i = as_occupation(input_occ)
-    n = as_occupation(output_occ)
-    if len(i) != matrix.shape[0] or len(n) != matrix.shape[0]:
-        raise DimensionMismatchError(
-            f"patterns of lengths {len(i)}/{len(n)} do not match the "
-            f"{matrix.shape[0]}-mode matrix"
-        )
-    return i, n
-
-
 def _check_budget(i, n, budget):
     if sum(i) > budget or sum(n) > budget:
         raise BudgetExceededError(
             f"pattern totals {sum(i)}/{sum(n)} exceed the budget of {budget}"
         )
-
-
-def _grouped_by_total(vectors):
-    groups: dict[int, list] = {}
-    for v in vectors:
-        groups.setdefault(sum(v), []).append(v)
-    return groups
 
 
 def _vacuum_report(name, cache, tol, i, n) -> IdentityReport:
@@ -123,24 +97,94 @@ def _vacuum_report(name, cache, tol, i, n) -> IdentityReport:
     return _report(name, raw, [b, f], tol, i, n)
 
 
-def _signed_convolution_terms(cache, i, n) -> list[float]:
-    """Terms of the signed fermion-boson convolution for one pattern pair.
+def _lemma2_vacuum(name, cache, tol, i, n) -> IdentityReport:
+    b = cache.boson(i, n)
+    return _report(name, b - 1.0, [b], tol, i, n)
 
-    j runs over the 0/1 subvectors of i and k over those of n with
-    |j| = |k|; each term is (-1)^|j| F_k^(j) B_(n-k)^(i-j).  Enumeration
-    order is fixed: ascending |j|, then lexicographic (j, k).
+
+def _support_table(p) -> list[list[tuple[tuple, tuple]]]:
+    """Per size m, the pairs (indicator, p - indicator) over the m-subsets
+    of p's support, in ``itertools.combinations`` order."""
+    supp = [s for s, c in enumerate(p) if c]
+    table = []
+    for size in range(len(supp) + 1):
+        entries = []
+        for sel in itertools.combinations(supp, size):
+            ind = [0] * len(p)
+            for s in sel:
+                ind[s] = 1
+            entries.append((tuple(ind), tuple(c - o for c, o in zip(p, ind))))
+        table.append(entries)
+    return table
+
+
+def _signed_convolution(name, cache, weight, vacuum, pairs, tol) -> list[IdentityReport]:
+    """Reports of the signed convolution for each (i, n) in ``pairs``.
+
+    j and k run over the 0/1 sub-patterns of i and n with |j| = |k|; each
+    term is (-1)^|j| weight(j, k) B_(n-k)^(i-j).  Theorem 1 weighs by the
+    fermion probability F_k^(j), Lemma 2 by |det U[beta, alpha]|^2 of
+    the same subsets.  The all-zero pair gets ``vacuum`` instead.  Each
+    pattern's subset table is built once per call.
     """
-    js = _grouped_by_total(bounded_subvectors(i))
-    ks = _grouped_by_total(bounded_subvectors(n))
-    terms = []
-    for m in sorted(set(js) & set(ks)):
-        sign = -1.0 if m % 2 else 1.0
-        for j in js[m]:
-            i_red = tuple(a - b for a, b in zip(i, j))
-            for k in ks[m]:
-                n_red = tuple(a - b for a, b in zip(n, k))
-                terms.append(sign * cache.fermion(j, k) * cache.boson(i_red, n_red))
-    return terms
+    table = functools.lru_cache(maxsize=None)(_support_table)
+    boson = cache.boson
+    reports = []
+    for i, n in pairs:
+        if not any(i) and not any(n):
+            reports.append(vacuum(name, cache, tol, i, n))
+            continue
+        ti, tn = table(i), table(n)
+        terms = []
+        append = terms.append
+        for size in range(min(len(ti), len(tn))):
+            sign = -1.0 if size % 2 else 1.0
+            for j, i_red in ti[size]:
+                for k, n_red in tn[size]:
+                    append(sign * weight(j, k) * boson(i_red, n_red))
+        reports.append(_report(name, math.fsum(terms), terms, tol, i, n))
+    return reports
+
+
+def _pattern_pairs(n_modes: int, max_total: int, max_patterns: int):
+    """Every (input, output) pair of equal total up to ``max_total``, input major."""
+    for t in range(max_total + 1):
+        patterns = enumerate_occupations(n_modes, t, max_patterns=max_patterns)
+        yield from itertools.product(patterns, repeat=2)
+
+
+def _subset_pairs(n_modes: int, size: int):
+    """The size-m subsets of range(n_modes), one per row of an index array,
+    and the positions (first, second) of every ordered pair of them,
+    first major."""
+    combos = list(itertools.combinations(range(n_modes), size))
+    subsets = np.array(combos, dtype=np.intp).reshape(len(combos), size)
+    pos = np.arange(len(combos))
+    return subsets, np.repeat(pos, len(combos)), np.tile(pos, len(combos))
+
+
+def _minor_weights(m: np.ndarray, max_size: int) -> dict[tuple, float]:
+    """|det U[beta, alpha]|^2 for every pair of equal-size mode subsets up
+    to ``max_size``, keyed by the indicators (alpha, beta), from one
+    batched determinant call per size."""
+    n_modes = m.shape[0]
+    weights = {}
+    for size in range(min(max_size, n_modes) + 1):
+        subsets, rows, cols = _subset_pairs(n_modes, size)
+        dets = determinant_many(m[subsets[rows][:, :, None], subsets[cols][:, None, :]])
+        if not np.all(np.isfinite(dets)):
+            raise FloatingPointError("determinant overflowed double precision")
+        indicators = [tuple(int(s in sub) for s in range(n_modes)) for sub in subsets.tolist()]
+        for beta, alpha, d in zip(rows.tolist(), cols.tolist(), dets.tolist()):
+            weights[indicators[alpha], indicators[beta]] = abs(d) ** 2
+    return weights
+
+
+def _lemma2_reports(m, cache, pairs, max_size, tol) -> list[IdentityReport]:
+    weights = _minor_weights(m, max_size)
+    return _signed_convolution(
+        "lemma2", cache, lambda j, k: weights[j, k], _lemma2_vacuum, pairs, tol
+    )
 
 
 def check_theorem1(
@@ -159,14 +203,13 @@ def check_theorem1(
     B = F = 1.
     """
     m = matrix_of(u)
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     _check_budget(i, n, budget)
     if cache is None:
         cache = ProbabilityCache(m)
-    if sum(i) == 0 and sum(n) == 0:
-        return _vacuum_report("theorem1", cache, tol, i, n)
-    terms = _signed_convolution_terms(cache, i, n)
-    return _report("theorem1", math.fsum(terms), terms, tol, i, n)
+    return _signed_convolution(
+        "theorem1", cache, cache.fermion, _vacuum_report, [(i, n)], tol
+    )[0]
 
 
 def check_theorem2(
@@ -189,17 +232,16 @@ def check_theorem2(
     m = matrix_of(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("theorem2 needs a square matrix")
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     _check_budget(i, n, budget)
     if cache is None:
         cache = ProbabilityCache(m)
-    if sum(i) == 0 and sum(n) == 0:
-        return _vacuum_report("theorem2", cache, tol, i, n)
     if sum(i) != sum(n):
         # every term carries a non-square block; the identity is 0 = 0
         return _report("theorem2", 0.0, [0.0], tol, i, n)
-    terms = _signed_convolution_terms(cache, i, n)
-    return _report("theorem2", math.fsum(terms), terms, tol, i, n)
+    return _signed_convolution(
+        "theorem2", cache, cache.fermion, _vacuum_report, [(i, n)], tol
+    )[0]
 
 
 def check_theorem2_dilation(
@@ -218,7 +260,7 @@ def check_theorem2_dilation(
     there.  The report carries the embedding scale in ``details``.
     """
     m = matrix_of(a)
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     v, eps = unitary_dilation(m, size)
     pad = v.n - len(i)
     padded_i = tuple(i) + (0,) * pad
@@ -246,32 +288,17 @@ def check_lemma2(
     Sums (-1)^m |det U[beta, alpha]|^2 B with both patterns lowered by
     one particle on the subset modes, over all equal-size subset pairs;
     terms whose lowering would drive a count negative are dropped.
-    Evaluated through explicit minors rather than the fermion kernel, so
-    it stays an independent route from :func:`check_theorem1`.
+    Evaluated through a table of explicit minors rather than the fermion
+    probabilities, so it stays an independent route from
+    :func:`check_theorem1`.
     """
     m = matrix_of(u)
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     _check_budget(i, n, budget)
     if cache is None:
         cache = ProbabilityCache(m)
-    if sum(i) == 0 and sum(n) == 0:
-        b = cache.boson(i, n)
-        return _report("lemma2", b - 1.0, [b], tol, i, n)
-    n_modes = len(i)
-    terms = []
-    for size in range(n_modes + 1):
-        sign = -1.0 if size % 2 else 1.0
-        for alpha in enumerate_subsets(n_modes, size):
-            i_red = subtract_indicator(i, alpha)
-            if i_red is None:
-                continue
-            for beta in enumerate_subsets(n_modes, size):
-                n_red = subtract_indicator(n, beta)
-                if n_red is None:
-                    continue
-                det = determinant(minor_keep(m, beta, alpha)).value
-                terms.append(sign * abs(det) ** 2 * cache.boson(i_red, n_red))
-    return _report("lemma2", math.fsum(terms), terms, tol, i, n)
+    max_size = min(sum(c > 0 for c in i), sum(c > 0 for c in n))
+    return _lemma2_reports(m, cache, [(i, n)], max_size, tol)[0]
 
 
 def _subset_pair_sum(a, *, permanental_only_principal: bool):
@@ -280,14 +307,11 @@ def _subset_pair_sum(a, *, permanental_only_principal: bool):
     all_idx = np.arange(n, dtype=np.intp)
     terms = []
     for size in range(n + 1):
-        subsets = enumerate_subsets(n, size)
-        idx = np.array(
-            [[s - 1 for s in sub] for sub in subsets], dtype=np.intp
-        ).reshape(len(subsets), size)
+        idx, first, second = _subset_pairs(n, size)
         comp = np.array(
             [np.setdiff1d(all_idx, row, assume_unique=True) for row in idx],
             dtype=np.intp,
-        ).reshape(len(subsets), n - size)
+        ).reshape(len(idx), n - size)
         sign = -1.0 if size % 2 else 1.0
         if permanental_only_principal:
             # principal minors: det on (alpha, alpha), per on the complement
@@ -295,11 +319,8 @@ def _subset_pair_sum(a, *, permanental_only_principal: bool):
             pers = permanent_many(a[comp[:, :, None], comp[:, None, :]])
             terms.extend((sign * dets * pers).tolist())
         else:
-            count = len(subsets)
-            rows = np.repeat(idx, count, axis=0)
-            cols = np.tile(idx, (count, 1))
-            crows = np.repeat(comp, count, axis=0)
-            ccols = np.tile(comp, (count, 1))
+            rows, cols = idx[first], idx[second]
+            crows, ccols = comp[first], comp[second]
             dets = np.abs(determinant_many(a[rows[:, :, None], cols[:, None, :]])) ** 2
             pers = (
                 np.abs(permanent_many(a[crows[:, :, None], ccols[:, None, :]])) ** 2
@@ -345,6 +366,25 @@ def check_muir(a, *, tol: float = DEFAULT_TOLERANCE) -> IdentityReport:
     return _report("muir", abs(raw), terms, tol)
 
 
+def _lowered_by_total(n) -> dict[int, list[tuple[tuple, tuple]]]:
+    """The pairs (k, n - k) over every sub-pattern k <= n, grouped by |k|,
+    each group in pattern enumeration order."""
+    groups: dict[int, list] = {}
+    for k in itertools.product(*[range(c, -1, -1) for c in n]):
+        groups.setdefault(sum(k), []).append((k, tuple(a - b for a, b in zip(n, k))))
+    return groups
+
+
+def _classical_convolution_report(cache, i, n, j, i_rest, lowered, tol) -> IdentityReport:
+    # lowered: the pairs (k, n - k) over the sub-patterns k <= n with |k| = |j|
+    classical = cache.classical
+    terms = [classical(i, n)]
+    for k, n_rest in lowered:
+        terms.append(-classical(j, k) * classical(i_rest, n_rest))
+    raw = math.fsum(terms)
+    return _report("classical-convolution", raw, terms, tol, i, n, details={"split": j})
+
+
 def check_classical_convolution(
     u,
     input_occ: Sequence[int],
@@ -362,7 +402,7 @@ def check_classical_convolution(
     patterns reproduces the full classical probability.
     """
     m = matrix_of(u)
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     j = as_occupation(split)
     if len(j) != len(i):
         raise DimensionMismatchError("split pattern has the wrong length")
@@ -372,22 +412,8 @@ def check_classical_convolution(
     if cache is None:
         cache = ProbabilityCache(m)
     i_rest = tuple(a - b for a, b in zip(i, j))
-    lhs = cache.classical(i, n)
-    terms = [lhs]
-    for k in enumerate_occupations(len(n), sum(j)):
-        if any(a > b for a, b in zip(k, n)):
-            continue
-        n_rest = tuple(a - b for a, b in zip(n, k))
-        terms.append(-cache.classical(j, k) * cache.classical(i_rest, n_rest))
-    return _report(
-        "classical-convolution",
-        math.fsum(terms),
-        terms,
-        tol,
-        i,
-        n,
-        details={"split": j},
-    )
+    lowered = _lowered_by_total(n).get(sum(j), [])
+    return _classical_convolution_report(cache, i, n, j, i_rest, lowered, tol)
 
 
 def check_two_particle(
@@ -731,7 +757,7 @@ def classify_transition(
     rejected: the classification is defined only for this case.
     """
     m = matrix_of(u)
-    i, n = _pair(m, input_occ, output_occ)
+    i, n = _pattern_pair(m, input_occ, output_occ)
     for occ in (i, n):
         if sum(occ) != 2 or any(c > 1 for c in occ):
             raise UnsupportedPatternError(
@@ -751,17 +777,6 @@ def classify_transition(
     return NaturalnessLabel(label=label, difference=b - f)
 
 
-def iter_pattern_pairs(
-    n_modes: int, max_total: int, *, max_patterns: int = 10**6
-):
-    """Yield every (input, output) pattern pair with equal totals <= max_total."""
-    for t in range(max_total + 1):
-        patterns = enumerate_occupations(n_modes, t, max_patterns=max_patterns)
-        for i in patterns:
-            for n in patterns:
-                yield i, n
-
-
 def sweep_signed_convolution(
     matrix,
     max_total: int,
@@ -772,7 +787,7 @@ def sweep_signed_convolution(
 ) -> list[IdentityReport]:
     """Run the signed-convolution check over every pattern pair at once.
 
-    Shares one probability cache and precomputed sub-pattern tables
+    Shares one probability cache and the per-pattern subset tables
     across the whole sweep, which keeps the full-budget sweeps of the
     acceptance suite within their runtime caps.  Reports come out in
     pattern enumeration order and match :func:`check_theorem1` /
@@ -781,49 +796,9 @@ def sweep_signed_convolution(
     m = matrix_of(matrix)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("sweep needs a square matrix")
-    n_modes = m.shape[0]
     cache = ProbabilityCache(m)
-    fermion = cache.fermion
-    boson = cache.boson
-
-    tables: dict[tuple, list] = {}
-
-    def table(p):
-        # per size: [(indicator, reduced pattern), ...] over support subsets
-        tab = tables.get(p)
-        if tab is None:
-            supp = support(p)
-            tab = []
-            for size in range(len(supp) + 1):
-                entries = []
-                for sel in itertools.combinations(supp, size):
-                    ind = tuple(1 if s + 1 in sel else 0 for s in range(n_modes))
-                    red = tuple(c - o for c, o in zip(p, ind))
-                    entries.append((ind, red))
-                tab.append(entries)
-            tables[p] = tab
-        return tab
-
-    reports = []
-    for t in range(max_total + 1):
-        patterns = enumerate_occupations(n_modes, t, max_patterns=max_patterns)
-        if t == 0:
-            vac = patterns[0]
-            reports.append(_vacuum_report(name, cache, tol, vac, vac))
-            continue
-        for i in patterns:
-            ti = table(i)
-            for n in patterns:
-                tn = table(n)
-                terms = []
-                append = terms.append
-                for size in range(min(len(ti), len(tn))):
-                    sign = -1.0 if size % 2 else 1.0
-                    for j_ind, i_red in ti[size]:
-                        for k_ind, n_red in tn[size]:
-                            append(sign * fermion(j_ind, k_ind) * boson(i_red, n_red))
-                reports.append(_report(name, math.fsum(terms), terms, tol, i, n))
-    return reports
+    pairs = _pattern_pairs(m.shape[0], max_total, max_patterns)
+    return _signed_convolution(name, cache, cache.fermion, _vacuum_report, pairs, tol)
 
 
 def sweep_lemma2(
@@ -833,10 +808,45 @@ def sweep_lemma2(
     tol: float = DEFAULT_TOLERANCE,
     max_patterns: int = 10**6,
 ) -> list[IdentityReport]:
-    """Run :func:`check_lemma2` over every pattern pair within budget."""
+    """Run :func:`check_lemma2` over every pattern pair within budget.
+
+    One cache, one minor table and the per-pattern subset tables serve
+    the whole sweep.
+    """
     m = matrix_of(u)
     cache = ProbabilityCache(m)
-    return [
-        check_lemma2(m, i, n, tol=tol, cache=cache, budget=max_total)
-        for i, n in iter_pattern_pairs(m.shape[0], max_total, max_patterns=max_patterns)
-    ]
+    pairs = _pattern_pairs(m.shape[0], max_total, max_patterns)
+    return _lemma2_reports(m, cache, pairs, max_total, tol)
+
+
+def sweep_classical_convolution(
+    u, max_total: int, *, tol: float = DEFAULT_TOLERANCE
+) -> list[IdentityReport]:
+    """Run :func:`check_classical_convolution` over every pattern pair
+    within budget and every split j <= i of the input.
+
+    Reports come out pair by pair in the order of the other sweeps, the
+    splits of a pair in ``itertools.product`` order.  One cache serves
+    the sweep; each total's sub-pattern tables and input splits are
+    built once.
+    """
+    m = matrix_of(u)
+    cache = ProbabilityCache(m)
+    reports = []
+    for t in range(max_total + 1):
+        patterns = enumerate_occupations(m.shape[0], t)
+        lowered = {n: _lowered_by_total(n) for n in patterns}
+        for i in patterns:
+            splits = [
+                (j, tuple(a - b for a, b in zip(i, j)))
+                for j in itertools.product(*[range(c + 1) for c in i])
+            ]
+            for n in patterns:
+                by_total = lowered[n]
+                for j, i_rest in splits:
+                    reports.append(
+                        _classical_convolution_report(
+                            cache, i, n, j, i_rest, by_total[sum(j)], tol
+                        )
+                    )
+    return reports

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SizeLimitError
+from .matrixcore import as_complex_matrix
 
 DEFAULT_SIZE_CAP = 20
 NAIVE_SIZE_CAP = 9
@@ -36,15 +37,6 @@ def relative_error(x, y) -> float:
     x = complex(x)
     y = complex(y)
     return abs(x - y) / max(1.0, abs(x), abs(y))
-
-
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 class _Kahan:
@@ -96,7 +88,7 @@ def permanent(a, *, size_cap: int = DEFAULT_SIZE_CAP) -> MatrixFunctionValue:
     strongly cancelling.  Matrices larger than ``size_cap`` are rejected
     rather than silently running for hours.
     """
-    m = _as_matrix(a)
+    m = as_complex_matrix(a)
     rows, cols = m.shape
     if rows == 0 and cols == 0:
         return MatrixFunctionValue(1.0 + 0.0j, True)
@@ -119,7 +111,7 @@ def permanent_naive(a, *, size_cap: int = NAIVE_SIZE_CAP) -> MatrixFunctionValue
     Deliberately independent of the Ryser kernel so the two can be
     checked against each other.  Capped at ``size_cap`` (default 9).
     """
-    m = _as_matrix(a)
+    m = as_complex_matrix(a)
     rows, cols = m.shape
     if rows == 0 and cols == 0:
         return MatrixFunctionValue(1.0 + 0.0j, True)
@@ -138,7 +130,7 @@ def determinant(a) -> MatrixFunctionValue:
     Square inputs go through LAPACK's LU factorization with partial
     pivoting (numpy.linalg.det), O(n^3).
     """
-    m = _as_matrix(a)
+    m = as_complex_matrix(a)
     rows, cols = m.shape
     if rows == 0 and cols == 0:
         return MatrixFunctionValue(1.0 + 0.0j, True)
@@ -180,7 +172,7 @@ def occupation_permanent(
     Degenerate shapes follow the module conventions (unequal totals give
     a non-square repetition, hence 0).
     """
-    m = _as_matrix(a)
+    m = as_complex_matrix(a)
     rows = tuple(int(c) for c in row_occ)
     cols = tuple(int(c) for c in col_occ)
     if len(rows) != m.shape[0] or len(cols) != m.shape[1]:

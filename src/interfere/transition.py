@@ -20,12 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .combinat import (
-    as_occupation,
-    enumerate_occupations,
-    factorial_product,
-    support,
-)
+from .combinat import as_occupation, enumerate_occupations, support
 from .errors import BudgetExceededError, DimensionMismatchError, SizeLimitError
 from .matrixcore import matrix_of
 from .permdet import DEFAULT_SIZE_CAP, occupation_permanent
@@ -51,15 +46,23 @@ class TransitionTriple(NamedTuple):
     classical: float
 
 
-def _pattern_pair(m: np.ndarray, input_occ, output_occ):
-    i = as_occupation(input_occ)
-    n = as_occupation(output_occ)
-    if len(i) != m.shape[0] or len(n) != m.shape[0]:
+def _pattern(m: np.ndarray, occ) -> tuple[int, ...]:
+    p = as_occupation(occ)
+    if len(p) != m.shape[0]:
         raise DimensionMismatchError(
-            f"patterns of lengths {len(i)}/{len(n)} do not match the "
+            f"pattern of length {len(p)} does not match the "
             f"{m.shape[0]}-mode interferometer"
         )
-    return i, n
+    return p
+
+
+def _pattern_pair(m: np.ndarray, input_occ, output_occ):
+    return _pattern(m, input_occ), _pattern(m, output_occ)
+
+
+def _factorial(occ: tuple[int, ...]) -> int:
+    """n! of checked counts."""
+    return math.prod(map(math.factorial, occ))
 
 
 def _fermion_value(m: np.ndarray, i, n) -> float:
@@ -82,12 +85,12 @@ def _fermion_value(m: np.ndarray, i, n) -> float:
     return amp.real * amp.real + amp.imag * amp.imag
 
 
-def _boson_values(amps: np.ndarray, i, n_factorials: np.ndarray) -> np.ndarray:
+def _boson_values(amps: np.ndarray, i_factorial: int, n_factorials: np.ndarray) -> np.ndarray:
     # B = (n!/i!) |a|^2 for amplitudes a = per(U_{n,i}) / n!
-    return n_factorials / factorial_product(i) * (amps.real * amps.real + amps.imag * amps.imag)
+    return n_factorials / i_factorial * (amps.real * amps.real + amps.imag * amps.imag)
 
 
-def _classical_values(amps: np.ndarray, i, n_factorials: np.ndarray) -> np.ndarray:
+def _classical_values(amps: np.ndarray, i_factorial: int, n_factorials: np.ndarray) -> np.ndarray:
     # C = a for amplitudes a = per(M_{n,i}) / n! of the squared moduli
     return amps.real
 
@@ -153,12 +156,7 @@ def output_distribution(
     if statistics not in STATISTICS:
         raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
     m = matrix_of(u)
-    i = as_occupation(input_occ)
-    if len(i) != m.shape[0]:
-        raise DimensionMismatchError(
-            f"pattern of length {len(i)} does not match the "
-            f"{m.shape[0]}-mode interferometer"
-        )
+    i = _pattern(m, input_occ)
     total = sum(i)
     if total > particle_budget:
         raise BudgetExceededError(
@@ -309,6 +307,9 @@ class ProbabilityCache:
         self._boson: dict[tuple, dict[tuple, float]] = {}
         self._fermion: dict[tuple, float] = {}
         self._classical: dict[tuple, dict[tuple, float]] = {}
+        # each input's checked counts, and their factorial product when the
+        # total is within the amplitude cap
+        self._inputs: dict[tuple, tuple[tuple[int, ...], int | None]] = {}
 
     @property
     def n(self) -> int:
@@ -339,12 +340,19 @@ class ProbabilityCache:
     def _row_miss(self, table, amps: _AmplitudeRows, values, i, n) -> float:
         # A new input, unequal totals, or a pair of a row too large to build.
         # The caller's tuples stay the keys: validated copies would double
-        # the memory of a row filled pair by pair.
-        occ_i, occ_n = _pattern_pair(self.matrix, i, n)
+        # the memory of a row filled pair by pair.  An input is checked once,
+        # when first seen; the output on every miss.
+        entry = self._inputs.get(i)
+        if entry is None:
+            occ = _pattern(self.matrix, i)
+            fits = sum(occ) <= DEFAULT_SIZE_CAP
+            entry = self._inputs[i] = (occ, _factorial(occ) if fits else None)
+        occ_i, i_factorial = entry
+        occ_n = _pattern(self.matrix, n)
         total = sum(occ_i)
         if total != sum(occ_n):
             return 0.0
-        if total > DEFAULT_SIZE_CAP:
+        if i_factorial is None:
             raise SizeLimitError(
                 f"{total} particles exceed the amplitude cap of {DEFAULT_SIZE_CAP}"
             )
@@ -353,12 +361,12 @@ class ProbabilityCache:
             row = table[i] = {}
             index = amps.index
             if self.n * index.count(total) <= ROW_SIZE_CAP:
-                filled = values(amps.row(occ_i), occ_i, index.factorials(total))
+                filled = values(amps.row(occ_i), i_factorial, index.factorials(total))
                 row.update(zip(index.patterns(total), filled.tolist()))
         value = row.get(n)
         if value is None:
-            n_factorial = float(factorial_product(occ_n))
+            n_factorial = float(_factorial(occ_n))
             amp = occupation_permanent(amps.a, occ_n, occ_i).value / n_factorial
-            pair = values(np.array([amp]), occ_i, np.array([n_factorial]))
+            pair = values(np.array([amp]), i_factorial, np.array([n_factorial]))
             value = row[n] = pair.item()
         return value

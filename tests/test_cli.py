@@ -293,30 +293,6 @@ def test_identical_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_thread_count_does_not_change_output(capsys):
-    base = (
-        "verify", "--matrix", "haar:3:6", "--suite",
-        "theorem1,two-particle,sum-difference", "--budget", "2",
-    )
-    _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out2, _ = run_cli(capsys, *base, "--threads", "4")
-    assert out1 == out2
-
-
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("INTERFERE_THREADS", "2")
-    code, out, _ = run_cli(
-        capsys, "verify", "--matrix", "beamsplitter", "--suite", "two-particle"
-    )
-    assert code == 0
-    monkeypatch.setenv("INTERFERE_THREADS", "bogus")
-    code, _, err = run_cli(
-        capsys, "verify", "--matrix", "beamsplitter", "--suite", "two-particle"
-    )
-    assert code == 2
-    assert "--threads" in err
-
-
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

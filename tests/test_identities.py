@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from interfere.combinat import enumerate_occupations
 from interfere.errors import (
     BudgetExceededError,
     DimensionTooSmallError,
@@ -23,6 +25,7 @@ from interfere.identities import (
     check_three_particle,
     check_two_particle,
     classify_transition,
+    sweep_classical_convolution,
     sweep_lemma2,
     sweep_signed_convolution,
 )
@@ -123,18 +126,29 @@ def test_theorem1_randomized_sweep_small():
 
 def test_sweep_matches_single_checks():
     u = haar_random_unitary(3, 77)
-    reports = {
-        (r.input_occ, r.output_occ): r for r in sweep_signed_convolution(u, 2)
-    }
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        t = int(rng.integers(0, 3))
-        i = random_pattern(rng, 3, t)
-        n = random_pattern(rng, 3, t)
-        single = check_theorem1(u, i, n)
-        swept = reports[(i, n)]
-        assert abs(single.raw_residual - swept.raw_residual) <= 1e-15
-        assert single.term_count == swept.term_count
+    for sweep, check in ((sweep_signed_convolution, check_theorem1), (sweep_lemma2, check_lemma2)):
+        reports = {(r.input_occ, r.output_occ): r for r in sweep(u, 2)}
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            t = int(rng.integers(0, 3))
+            i = random_pattern(rng, 3, t)
+            n = random_pattern(rng, 3, t)
+            single = check(u, i, n)
+            swept = reports[(i, n)]
+            assert single.raw_residual == swept.raw_residual
+            assert single.term_count == swept.term_count
+
+
+def test_lemma2_never_reads_the_fermion_cache(monkeypatch):
+    # lemma2 weighs by its own minor table, so it stays independent of theorem1
+    def refuse(self, i, n):
+        raise AssertionError("lemma2 read a fermion probability")
+
+    monkeypatch.setattr(ProbabilityCache, "fermion", refuse)
+    u = haar_random_unitary(3, 4)
+    assert all(r.passed for r in sweep_lemma2(u, 3))
+    for i, n in (((0, 0, 0), (0, 0, 0)), ((1, 1, 0), (0, 1, 1)), ((2, 1, 0), (1, 1, 1))):
+        assert check_lemma2(u, i, n).passed
 
 
 def test_theorem1_swap_symmetry():
@@ -309,6 +323,23 @@ def test_classical_convolution_multi_occupancy():
 def test_classical_convolution_rejects_oversized_split():
     with pytest.raises(ValueError):
         check_classical_convolution(BS, (1, 0), (1, 0), (2, 0))
+
+
+def test_classical_sweep_matches_single_checks():
+    u = haar_random_unitary(3, 8)
+    swept = sweep_classical_convolution(u, 2)
+    singles = [
+        check_classical_convolution(u, i, n, split)
+        for t in range(3)
+        for i in enumerate_occupations(3, t)
+        for n in enumerate_occupations(3, t)
+        for split in itertools.product(*[range(c + 1) for c in i])
+    ]
+    assert len(swept) == len(singles)
+    for a, b in zip(swept, singles):
+        assert (a.input_occ, a.output_occ, a.details) == (b.input_occ, b.output_occ, b.details)
+        assert (a.raw_residual, a.term_count, a.normalizer) == (b.raw_residual, b.term_count, b.normalizer)
+        assert a.passed and b.passed
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ def enumerate_occupations(
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, modes_left: int):
+        if remaining == 0:
+            out.append(prefix + (0,) * modes_left)
+            return
         if modes_left == 1:
             out.append(prefix + (remaining,))
             return

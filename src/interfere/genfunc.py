@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinat import enumerate_occupations, enumerate_subsets
+from .combinat import enumerate_occupations
 from .errors import BudgetExceededError, SingularDenominatorError
 from .matrixcore import matrix_of
-from .permdet import determinant_many
+from .permdet import _subset_pairs, determinant_many
 from .transition import ProbabilityCache
 
 SINGULAR_EPS = 1e-14
@@ -76,20 +76,11 @@ def gf_minor_expansion(u, x: Sequence[float], z: Sequence[float]) -> float:
     zv = _dual_vector(z, n, "z")
     terms = []
     for size in range(n + 1):
-        subsets = enumerate_subsets(n, size)
-        idx = np.array([[s - 1 for s in sub] for sub in subsets], dtype=np.intp)
-        if size == 0:
-            terms.append(1.0)
-            continue
-        xprod = np.prod(xv[idx], axis=1)
-        zprod = np.prod(zv[idx], axis=1)
-        count = len(subsets)
         # all (beta rows, alpha cols) pairs in one batched determinant
-        rows = np.repeat(idx, count, axis=0)
-        cols = np.tile(idx, (count, 1))
-        minors = m[rows[:, :, None], cols[:, None, :]]
+        subsets, rows, cols = _subset_pairs(n, size)
+        minors = m[subsets[rows][:, :, None], subsets[cols][:, None, :]]
         dets = np.abs(determinant_many(minors)) ** 2
-        weights = np.repeat(zprod, count) * np.tile(xprod, count)
+        weights = np.prod(zv[subsets], axis=1)[rows] * np.prod(xv[subsets], axis=1)[cols]
         sign = -1.0 if size % 2 else 1.0
         terms.extend((sign * dets * weights).tolist())
     recip = math.fsum(terms)

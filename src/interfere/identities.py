@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .matrixcore import matrix_of, unitary_dilation
-from .permdet import determinant_many, permanent_many
+from .permdet import _subset_pairs, determinant_many, permanent_many
 from .transition import DEFAULT_PARTICLE_BUDGET, ProbabilityCache, _pattern_pair
 
 DEFAULT_TOLERANCE = 1e-10
@@ -146,21 +146,11 @@ def _signed_convolution(name, cache, weight, vacuum, pairs, tol) -> list[Identit
     return reports
 
 
-def _pattern_pairs(n_modes: int, max_total: int, max_patterns: int):
+def _pattern_pairs(n_modes: int, max_total: int):
     """Every (input, output) pair of equal total up to ``max_total``, input major."""
     for t in range(max_total + 1):
-        patterns = enumerate_occupations(n_modes, t, max_patterns=max_patterns)
+        patterns = enumerate_occupations(n_modes, t)
         yield from itertools.product(patterns, repeat=2)
-
-
-def _subset_pairs(n_modes: int, size: int):
-    """The size-m subsets of range(n_modes), one per row of an index array,
-    and the positions (first, second) of every ordered pair of them,
-    first major."""
-    combos = list(itertools.combinations(range(n_modes), size))
-    subsets = np.array(combos, dtype=np.intp).reshape(len(combos), size)
-    pos = np.arange(len(combos))
-    return subsets, np.repeat(pos, len(combos)), np.tile(pos, len(combos))
 
 
 def _minor_weights(m: np.ndarray, max_size: int) -> dict[tuple, float]:
@@ -783,7 +773,6 @@ def sweep_signed_convolution(
     *,
     tol: float = DEFAULT_TOLERANCE,
     name: str = "theorem1",
-    max_patterns: int = 10**6,
 ) -> list[IdentityReport]:
     """Run the signed-convolution check over every pattern pair at once.
 
@@ -797,7 +786,7 @@ def sweep_signed_convolution(
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("sweep needs a square matrix")
     cache = ProbabilityCache(m)
-    pairs = _pattern_pairs(m.shape[0], max_total, max_patterns)
+    pairs = _pattern_pairs(m.shape[0], max_total)
     return _signed_convolution(name, cache, cache.fermion, _vacuum_report, pairs, tol)
 
 
@@ -806,7 +795,6 @@ def sweep_lemma2(
     max_total: int,
     *,
     tol: float = DEFAULT_TOLERANCE,
-    max_patterns: int = 10**6,
 ) -> list[IdentityReport]:
     """Run :func:`check_lemma2` over every pattern pair within budget.
 
@@ -815,7 +803,7 @@ def sweep_lemma2(
     """
     m = matrix_of(u)
     cache = ProbabilityCache(m)
-    pairs = _pattern_pairs(m.shape[0], max_total, max_patterns)
+    pairs = _pattern_pairs(m.shape[0], max_total)
     return _lemma2_reports(m, cache, pairs, max_total, tol)
 
 

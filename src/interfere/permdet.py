@@ -1,5 +1,11 @@
 """Permanent and determinant kernels with degenerate-shape conventions.
 
+One chunked Ryser kernel serves :func:`permanent` and
+:func:`permanent_many`, one matrix or a stack of them; the multiplicity
+Ryser kernel of :func:`occupation_permanent` handles row/column-repeated
+submatrices without expanding them.  :func:`permanent_naive` is the
+independent permutation-sum oracle.  Determinants go through LAPACK.
+
 Conventions applied uniformly: the permanent or determinant of a 0x0
 matrix is 1 (empty product), and that of a non-square matrix is 0.  Both
 cases set ``shape_convention_applied`` on the returned value.
@@ -39,54 +45,57 @@ def relative_error(x, y) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
-class _Kahan:
-    """Compensated accumulator for complex values."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0 + 0.0j
-        self.carry = 0.0 + 0.0j
-
-    def add(self, value):
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
+# A step of _ryser evaluates batch * 2^c terms for the largest c <= n that
+# keeps this bound: one matrix tabulates 12 columns, a batch above 4096 none.
+_CHUNK_TERMS = 1 << 12
 
 
-def _ryser_gray(a: np.ndarray) -> complex:
-    # Ryser inclusion-exclusion; Gray-code order so each subset step
-    # updates the row-sum vector with a single column add/subtract.
-    n = a.shape[0]
-    cols = np.ascontiguousarray(a.T)
-    row = np.zeros(n, dtype=np.complex128)
-    acc = _Kahan()
+def _ryser(mats: np.ndarray) -> np.ndarray:
+    # Ryser inclusion-exclusion over a (batch, n, n) stack.  The row sums
+    # of all 2^c subsets of the lowest c columns are tabulated once; the
+    # other n - c columns are walked in Gray-code order, each step adding
+    # or subtracting one column to every tabulated sum and evaluating 2^c
+    # terms per matrix with one product and one signed reduction.  Step
+    # totals are accumulated with elementwise compensated summation
+    # because the 2^n terms are strongly cancelling.
+    batch, n, _ = mats.shape
+    c = min(n, max(0, (_CHUNK_TERMS // max(batch, 1)).bit_length() - 1))
+    # rows first, so the product over rows multiplies contiguous slabs
+    cols = mats.transpose(2, 1, 0)[..., None]
+    sums = np.zeros((n, batch, 1 << c), dtype=np.complex128)
+    signs = np.ones(1 << c)
+    for bit in range(c):
+        half = 1 << bit
+        sums[:, :, half : 2 * half] = sums[:, :, :half] + cols[bit]
+        signs[half : 2 * half] = -signs[:half]
+    total = np.zeros(batch, dtype=np.complex128)
+    carry = np.zeros(batch, dtype=np.complex128)
     gray = 0
-    sign = 1.0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        mask = 1 << bit
-        gray ^= mask
-        if gray & mask:
-            row += cols[bit]
-        else:
-            row -= cols[bit]
-        sign = -sign
-        acc.add(sign * row.prod())
-    total = acc.total
-    if n % 2:
-        total = -total
-    return complex(total)
+    for k in range(1 << (n - c)):
+        if k:
+            bit = (k & -k).bit_length() - 1
+            gray ^= 1 << bit
+            if gray >> bit & 1:
+                sums += cols[c + bit]
+            else:
+                sums -= cols[c + bit]
+        # the Gray code flips one high column per step: odd steps hold odd subsets
+        term = (sums.prod(axis=0) * signs).sum(axis=1)
+        y = (-term if k & 1 else term) - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return -total if n % 2 else total
 
 
 def permanent(a, *, size_cap: int = DEFAULT_SIZE_CAP) -> MatrixFunctionValue:
     """Permanent of a complex matrix via Ryser's formula.
 
-    Gray-code subset updates give O(2^n * n) cost; the outer sum is
-    accumulated with compensated summation because the 2^n terms are
-    strongly cancelling.  Matrices larger than ``size_cap`` are rejected
-    rather than silently running for hours.
+    O(2^n * n) cost in the chunked Ryser kernel shared with
+    :func:`permanent_many`: 2^12 subset terms per vectorized step, step
+    totals accumulated with compensated summation.  1x1 and 2x2 matrices
+    use their closed forms.  Matrices larger than ``size_cap`` are
+    rejected rather than silently running for hours.
     """
     m = as_complex_matrix(a)
     rows, cols = m.shape
@@ -102,7 +111,7 @@ def permanent(a, *, size_cap: int = DEFAULT_SIZE_CAP) -> MatrixFunctionValue:
         return MatrixFunctionValue(
             complex(m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]), False
         )
-    return MatrixFunctionValue(_ryser_gray(m), False)
+    return MatrixFunctionValue(complex(_ryser(m[None])[0]), False)
 
 
 def permanent_naive(a, *, size_cap: int = NAIVE_SIZE_CAP) -> MatrixFunctionValue:
@@ -189,19 +198,19 @@ def occupation_permanent(
             f"occupation permanent of size {total} exceeds cap {size_cap}"
         )
 
-    # Loop subsets on the side with the smaller multiplicity product.
-    def weight(occ):
-        w = 1
-        for c in occ:
-            w *= c + 1
-        return w
+    return MatrixFunctionValue(_occupation_permanent(m, rows, cols), False)
 
-    if weight(cols) < weight(rows):
-        m = m.T
-        rows, cols = cols, rows
 
+def _occupation_permanent(m: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> complex:
+    # The kernel of occupation_permanent for a checked complex matrix and
+    # non-negative counts of equal total t, 1 <= t <= the size cap.  Loop
+    # subsets on the side with the smaller multiplicity product.
     r_support = [s for s, c in enumerate(rows) if c > 0]
     c_support = [s for s, c in enumerate(cols) if c > 0]
+    if math.prod(cols[s] + 1 for s in c_support) < math.prod(rows[s] + 1 for s in r_support):
+        m = m.T
+        rows, cols = cols, rows
+        r_support, c_support = c_support, r_support
     block = np.ascontiguousarray(m[np.ix_(r_support, c_support)])
     r_counts = tuple(rows[s] for s in r_support)
     c_counts = np.array([cols[s] for s in c_support], dtype=np.float64)
@@ -210,48 +219,21 @@ def occupation_permanent(
     sums = vecs @ block
     terms = signed_coeff * np.prod(sums ** c_counts[None, :], axis=1)
     value = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    if total % 2:
-        value = -value
-    return MatrixFunctionValue(value, False)
+    return -value if sum(rows) % 2 else value
 
 
 def permanent_many(mats: np.ndarray) -> np.ndarray:
     """Permanents of a stack of equal-sized square matrices.
 
     ``mats`` has shape (batch, n, n); returns shape (batch,).  Same
-    Gray-code Ryser recursion as the scalar kernel, vectorized over the
-    batch axis with elementwise compensated accumulation.
+    chunked Ryser kernel as :func:`permanent`, vectorized over the batch
+    axis; the larger the batch, the fewer subset terms per matrix each
+    step tabulates.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected shape (batch, n, n)")
-    batch, n, _ = mats.shape
-    if n == 0:
-        return np.ones(batch, dtype=np.complex128)
-    if n == 1:
-        return mats[:, 0, 0].copy()
-    row = np.zeros((batch, n), dtype=np.complex128)
-    total = np.zeros(batch, dtype=np.complex128)
-    carry = np.zeros(batch, dtype=np.complex128)
-    gray = 0
-    sign = 1.0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        mask = 1 << bit
-        gray ^= mask
-        if gray & mask:
-            row += mats[:, :, bit]
-        else:
-            row -= mats[:, :, bit]
-        sign = -sign
-        term = sign * row.prod(axis=1)
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    if n % 2:
-        total = -total
-    return total
+    return _ryser(mats)
 
 
 def determinant_many(mats: np.ndarray) -> np.ndarray:
@@ -262,3 +244,13 @@ def determinant_many(mats: np.ndarray) -> np.ndarray:
     if mats.shape[1] == 0:
         return np.ones(mats.shape[0], dtype=np.complex128)
     return np.linalg.det(mats)
+
+
+def _subset_pairs(n_modes: int, size: int):
+    """The size-m subsets of range(n_modes), one per row of an index array,
+    and the positions (first, second) of every ordered pair of them,
+    first major."""
+    combos = list(itertools.combinations(range(n_modes), size))
+    subsets = np.array(combos, dtype=np.intp).reshape(len(combos), size)
+    pos = np.arange(len(combos))
+    return subsets, np.repeat(pos, len(combos)), np.tile(pos, len(combos))

@@ -23,7 +23,7 @@ import numpy as np
 from .combinat import as_occupation, enumerate_occupations, support
 from .errors import BudgetExceededError, DimensionMismatchError, SizeLimitError
 from .matrixcore import matrix_of
-from .permdet import DEFAULT_SIZE_CAP, occupation_permanent
+from .permdet import DEFAULT_SIZE_CAP, _occupation_permanent
 
 STATISTICS = ("boson", "fermion", "classical")
 DEFAULT_PARTICLE_BUDGET = 8
@@ -144,7 +144,6 @@ def output_distribution(
     statistics: str,
     *,
     particle_budget: int = DEFAULT_PARTICLE_BUDGET,
-    max_patterns: int = 10**6,
 ) -> dict[tuple[int, ...], float]:
     """Probabilities over every output pattern with the input's total.
 
@@ -170,7 +169,7 @@ def output_distribution(
         "fermion": cache.fermion,
         "classical": cache.classical,
     }[statistics]
-    outputs = enumerate_occupations(len(i), total, max_patterns=max_patterns)
+    outputs = enumerate_occupations(len(i), total)
     return {n: prob(i, n) for n in outputs}
 
 
@@ -292,9 +291,11 @@ class ProbabilityCache:
     depend only on the mode count and are shared by the caches of that
     size.  Then B = (n!/i!) |a|^2 with A = U, and C = a with
     A = |U|^2.  A row whose patterns times N exceed ``ROW_SIZE_CAP`` is
-    not built; its pairs are evaluated one at a time with
-    :func:`occupation_permanent`, which otherwise serves only as the
-    independent test oracle.  Fermion values are per-pair determinants.
+    not built; its pairs are evaluated one at a time by the multiplicity
+    Ryser kernel of :func:`occupation_permanent`, called on the checked
+    counts without the public function's input checks; that function
+    otherwise serves only as the independent test oracle.  Fermion values
+    are per-pair determinants.
     """
 
     def __init__(self, matrix):
@@ -366,7 +367,7 @@ class ProbabilityCache:
         value = row.get(n)
         if value is None:
             n_factorial = float(_factorial(occ_n))
-            amp = occupation_permanent(amps.a, occ_n, occ_i).value / n_factorial
+            amp = _occupation_permanent(amps.a, occ_n, occ_i) / n_factorial
             pair = values(np.array([amp]), i_factorial, np.array([n_factorial]))
             value = row[n] = pair.item()
         return value

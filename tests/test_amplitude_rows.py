@@ -42,12 +42,13 @@ def oracle_classical(a, i, n):
 def kernel_calls(monkeypatch):
     """Count the cache's calls into the multiplicity kernel."""
     calls = []
+    kernel = transition._occupation_permanent
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[1:3])
-        return occupation_permanent(*args, **kwargs)
+        return kernel(*args)
 
-    monkeypatch.setattr(transition, "occupation_permanent", counted)
+    monkeypatch.setattr(transition, "_occupation_permanent", counted)
     return calls
 
 

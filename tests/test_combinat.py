@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -32,6 +33,11 @@ def test_enumerate_occupations_single_particle():
 
 def test_enumerate_occupations_count():
     assert len(enumerate_occupations(4, 3)) == 20  # C(6, 3)
+    # sparse: two particles in 50 modes, leading mode's count first
+    pairs = itertools.combinations_with_replacement(range(50), 2)
+    expected = sorted(tuple((a == s) + (b == s) for s in range(50)) for a, b in pairs)
+    assert enumerate_occupations(50, 2) == expected[::-1]
+    assert len(expected) == math.comb(51, 2)
 
 
 def test_enumerate_occupations_budget():

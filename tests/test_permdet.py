@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,12 +184,41 @@ def test_occupation_permanent_conventions():
 
 
 def test_permanent_many_matches_scalar():
+    # batch 1 tabulates all columns at once; 200 matrices of order 6
+    # tabulate 4 columns and walk 2; past 4096 matrices every column is walked
     rng = np.random.default_rng(9)
-    for n in (0, 1, 2, 3, 5):
-        mats = np.stack([random_disk_matrix(rng, n) for _ in range(7)])
+    cases = [(n, 7) for n in (0, 1, 2, 3, 5)] + [(9, 1), (6, 200), (4, 4100)]
+    for n, count in cases:
+        mats = np.stack([random_disk_matrix(rng, n) for _ in range(count)])
         batch = permanent_many(mats)
-        for k in range(7):
-            assert relative_error(batch[k], permanent(mats[k]).value) <= 1e-12
+        assert batch.shape == (count,)
+        for k in range(count):
+            assert relative_error(batch[k], permanent_naive(mats[k]).value) <= 1e-12
+
+
+def _mp_permanent(a):
+    """Ryser's formula over every column subset in 50-digit arithmetic."""
+    n = a.shape[0]
+    with mpmath.workdps(50):
+        entries = [[mpmath.mpc(complex(x)) for x in row] for row in a]
+        total = mpmath.mpc(0)
+        for size in range(1, n + 1):
+            for cols in itertools.combinations(range(n), size):
+                term = mpmath.fprod(mpmath.fsum(row[c] for c in cols) for row in entries)
+                total += term if (n - size) % 2 == 0 else -term
+        return complex(total)
+
+
+def test_permanent_matches_mpmath():
+    # a batch of 64 tabulates 6 columns, so from n = 7 on it also walks
+    rng = np.random.default_rng(41)
+    for n in range(4, 11):
+        mats = np.stack([random_disk_matrix(rng, n) for _ in range(2)])
+        batch = permanent_many(np.repeat(mats, 32, axis=0))
+        for k, a in enumerate(mats):
+            reference = _mp_permanent(a)
+            assert relative_error(permanent(a).value, reference) <= 1e-12
+            assert relative_error(batch[32 * k], reference) <= 1e-12
 
 
 def test_determinant_many_matches_scalar():
